@@ -144,8 +144,41 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// predictRequests scrapes /metrics?format=json for the GET /predict
+// request counter with the given status code. The fixture's registry is
+// shared by every test and every -count repetition, so callers assert
+// deltas, not absolute values.
+func predictRequests(t *testing.T, f *handlerFixture, code string) float64 {
+	t.Helper()
+	var fams []obs.Family
+	if err := json.Unmarshal(get(t, f, "/metrics?format=json").Body.Bytes(), &fams); err != nil {
+		t.Fatalf("json metrics: %v", err)
+	}
+	for _, fam := range fams {
+		if fam.Name != "rc_http_requests_total" {
+			continue
+		}
+		for _, s := range fam.Samples {
+			var route, c string
+			for _, l := range s.Labels {
+				switch l.Key {
+				case "route":
+					route = l.Value
+				case "code":
+					c = l.Value
+				}
+			}
+			if route == "GET /predict" && c == code {
+				return s.Value
+			}
+		}
+	}
+	return 0
+}
+
 func TestPredictAndMetricsEndpoint(t *testing.T) {
 	f := fixture(t)
+	ok0, bad0 := predictRequests(t, f, "200"), predictRequests(t, f, "400")
 
 	// Two identical predictions: a miss then a result-cache hit.
 	for i := 0; i < 2; i++ {
@@ -177,8 +210,8 @@ func TestPredictAndMetricsEndpoint(t *testing.T) {
 		"rc_store_record_bytes_bucket",
 		`rc_pipeline_stage_seconds_bucket{stage="run",le=`,
 		// HTTP middleware, labeled by registered route pattern.
-		`rc_http_requests_total{route="GET /predict",code="200"} 2`,
-		`rc_http_requests_total{route="GET /predict",code="400"} 1`,
+		`rc_http_requests_total{route="GET /predict",code="200"} `,
+		`rc_http_requests_total{route="GET /predict",code="400"} `,
 		`rc_http_request_seconds_bucket{route="GET /predict",le=`,
 		// Serving-tier instrumentation.
 		"rc_serve_coalesce_leaders_total",
@@ -201,6 +234,12 @@ func TestPredictAndMetricsEndpoint(t *testing.T) {
 	}
 	if len(fams) == 0 {
 		t.Error("json metrics empty")
+	}
+	if d := predictRequests(t, f, "200") - ok0; d != 2 {
+		t.Errorf("GET /predict 200s grew by %g, want 2", d)
+	}
+	if d := predictRequests(t, f, "400") - bad0; d != 1 {
+		t.Errorf("GET /predict 400s grew by %g, want 1", d)
 	}
 }
 

@@ -150,11 +150,13 @@ func BenchmarkSimSweep(b *testing.B) {
 // (fixed 500-server cluster) is the allocation story: the row path
 // allocates one fresh request per VM, so its allocs/op is linear in
 // trace length (~1/VM, see BenchmarkSimRun/vms=...); the chunk-fed
-// path's allocations are bounded by concurrency — the arrival pool
+// path's allocation count is bounded by concurrency — the arrival pool
 // sized by peak in-flight VMs, per-server active-slice growth, the
 // completion heap — not by trace length, so doubling the trace adds
 // only the pool growth that the higher arrival rate itself causes
 // (~0.1 allocs/VM marginal here, flat once the cluster saturates).
+// Its bytes do grow with the trace: the contribution arena holds 4 B
+// per VM-interval in a handful of slices.
 func BenchmarkSimRunColumns(b *testing.B) {
 	cfgFor := func(servers int) Config {
 		return Config{

@@ -98,34 +98,35 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	if len(tr.VMs) == 0 {
 		return nil, errors.New("sim: empty trace")
 	}
-	return runSource(newRowSource(tr), cfg)
+	src := newRowSource(tr)
+	return runSource(src, cfg, newArena(src, []Config{cfg}, 0))
 }
 
 // RunColumns simulates a columnar trace against a fresh cluster without
 // materializing row structs: arrivals are filled from chunk columns
-// into a bounded pool of scratch VMs, so allocations stay flat in trace
-// length. The result is byte-identical to Run over the equivalent row
-// trace — both drive the same core, executing the same float operations
-// in the same order (see the columns equivalence tests).
+// into a bounded pool of scratch VMs, so the allocation count stays flat
+// in trace length (the contribution arena is a few slices whose size
+// does grow with it). The result is byte-identical to Run over the
+// equivalent row trace — both drive the same core, executing the same
+// float operations in the same order (see the columns equivalence tests).
 func RunColumns(c *trace.Columns, cfg Config) (*Result, error) {
 	if c.Len() == 0 {
 		return nil, errors.New("sim: empty trace")
 	}
-	return runSource(newColSource(c, countInitialWavesColumns(c)), cfg)
+	src := newColSource(c, countInitialWavesColumns(c))
+	return runSource(src, cfg, newArena(src, []Config{cfg}, 0))
 }
 
 // runSource is the shared Section 6.2 core: it drains completions,
 // schedules each arrival the source yields, and folds placements into
-// the streaming per-server accumulators. Everything trace-shaped is
-// behind src, so the row and columnar paths differ only in how arrivals
-// are produced.
-func runSource(src arrivalSource, cfg Config) (*Result, error) {
+// the streaming per-server accumulators, which read each placed VM's
+// utilization from ar. Everything trace-shaped is behind src, so the row
+// and columnar paths differ only in how arrivals are produced.
+func runSource(src arrivalSource, cfg Config, ar *arena) (*Result, error) {
 	if cfg.ConfidenceThreshold == 0 {
 		cfg.ConfidenceThreshold = 0.6
 	}
-	if cfg.UtilScale == 0 {
-		cfg.UtilScale = 1
-	}
+	contrib := ar.forConfig(cfg)
 	reg := cfg.Obs
 	runLabels := []string{"policy", cfg.Cluster.Policy.String()}
 	if cfg.RunLabel != "" {
@@ -181,7 +182,7 @@ func runSource(src arrivalSource, cfg Config) (*Result, error) {
 	res := &Result{Policy: cfg.Cluster.Policy}
 	var completions completionHeap
 
-	err = src.each(func(v *trace.VM, req *cluster.Request, requested int) error {
+	err = src.each(func(i int, v *trace.VM, req *cluster.Request, requested int) error {
 		// Release every VM that completed before this arrival.
 		for len(completions) > 0 && completions[0].at <= v.Created {
 			done := completions.pop()
@@ -238,8 +239,15 @@ func runSource(src arrivalSource, cfg Config) (*Result, error) {
 		if startIdx > intervals {
 			startIdx = intervals
 		}
-		a.advance(startIdx, cfg.UtilScale, capacity)
-		a.active = append(a.active, activeVM{util: v.Util, end: end, cores: float64(v.Cores)})
+		a.advance(startIdx, capacity)
+		// The VM's values start at startIdx; on a trace not sorted by
+		// creation the frontier may already be past it, and the intervals
+		// it skipped are finalized without this VM.
+		cur := contrib.of(i)
+		if skip := a.frontier - startIdx; skip > 0 {
+			cur = cur[min(skip, len(cur)):]
+		}
+		a.active = append(a.active, cur)
 		if v.Deleted < trace.NoEnd {
 			completions.push(completion{at: v.Deleted, req: req})
 		} else {
@@ -263,7 +271,7 @@ func runSource(src arrivalSource, cfg Config) (*Result, error) {
 	var sum float64
 	for i := range accums {
 		a := &accums[i]
-		a.advance(intervals, cfg.UtilScale, capacity)
+		a.advance(intervals, capacity)
 		sum += a.sumPct
 		res.BusyReadings += a.busy
 		res.ReadingsAbove100 += a.above100
@@ -301,26 +309,16 @@ func c95Cores(v *trace.VM, cfg Config, requested int) float64 {
 	return metric.P95CPU.BucketHigh(bucket) / 100 * full
 }
 
-// activeVM is one VM currently contributing to a server's utilization
-// readings: its contribution window was fixed at placement time. The
-// utilization model is held by value — not via the *trace.VM — because
-// accumulators read it long after the arrival is gone, and the columnar
-// path recycles its scratch VMs (At is a pure function of the model's
-// fields, so the copy reads identically).
-type activeVM struct {
-	util  trace.UtilModel
-	end   trace.Minutes // Deleted clamped to the horizon
-	cores float64
-}
-
 // serverAccum streams one server's utilization statistics without
 // materializing its per-interval series. Intervals below frontier are
 // finalized; active holds the VMs that can still contribute, in placement
 // order — the same order the matrix implementation accumulated each
-// float32 cell in, which keeps every reading bit-identical.
+// float32 cell in, which keeps every reading bit-identical. Each entry is
+// a cursor into the contribution arena whose first value is the VM's
+// contribution to interval frontier.
 type serverAccum struct {
 	frontier int // next unfinalized 5-minute interval
-	active   []activeVM
+	active   [][]float32
 	sumPct   float64
 	busy     int
 	above100 int
@@ -333,27 +331,25 @@ type serverAccum struct {
 // into the running statistics. Contributions only cover intervals the VM
 // fully occupies: two VMs that time-share a server slot within one window
 // must not double-count, otherwise even non-oversubscribed servers would
-// report readings above 100% (the paper's Baseline never does). VMs whose
-// window has passed are compacted out in place, preserving order; once the
-// active set is empty every remaining reading is exactly zero, so the
-// frontier jumps straight to upto.
-func (a *serverAccum) advance(upto int, scale, capacity float64) {
+// report readings above 100% (the paper's Baseline never does), which is
+// why the arena stores only those intervals. A VM whose cursor is empty
+// has no window left and is compacted out in place, preserving order;
+// once the active set is empty every remaining reading is exactly zero,
+// so the frontier jumps straight to upto.
+func (a *serverAccum) advance(upto int, capacity float64) {
 	for ; a.frontier < upto; a.frontier++ {
 		if len(a.active) == 0 {
 			a.frontier = upto
 			break
 		}
-		t := trace.Minutes(a.frontier) * trace.ReadingIntervalMin
 		var reading float32
 		live := a.active[:0]
-		for i := range a.active {
-			vm := &a.active[i]
-			if t+trace.ReadingIntervalMin > vm.end {
+		for _, cur := range a.active {
+			if len(cur) == 0 {
 				continue
 			}
-			live = append(live, *vm)
-			_, _, max := vm.util.At(t)
-			reading += float32(max / 100 * vm.cores * scale)
+			reading += cur[0]
+			live = append(live, cur[1:])
 		}
 		a.active = live
 		if reading <= 0 {

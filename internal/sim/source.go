@@ -17,10 +17,17 @@ import (
 type arrivalSource interface {
 	// horizon is the trace window length.
 	horizon() trace.Minutes
-	// each calls fn once per VM in trace order. v and req stay valid
-	// until release(req); requested is the initial-wave size of the VM's
-	// deployment (the client input RC models consume).
-	each(fn func(v *trace.VM, req *cluster.Request, requested int) error) error
+	// len is the trace's VM count.
+	len() int
+	// vmAt returns VM i, filling scratch when the source has no row to
+	// point into. It touches no per-run state, so concurrent calls are
+	// safe.
+	vmAt(i int, scratch *trace.VM) *trace.VM
+	// each calls fn once per VM in trace order with its trace index i. v
+	// and req stay valid until release(req); requested is the
+	// initial-wave size of the VM's deployment (the client input RC
+	// models consume).
+	each(fn func(i int, v *trace.VM, req *cluster.Request, requested int) error) error
 	// release returns an arrival's request (and the VM backing it) to
 	// the source once the cluster can no longer reference it: after
 	// VMCompleted, on a failed placement, or when the VM never
@@ -42,10 +49,14 @@ func newRowSource(tr *trace.Trace) *rowSource {
 
 func (s *rowSource) horizon() trace.Minutes { return s.tr.Horizon }
 
-func (s *rowSource) each(fn func(v *trace.VM, req *cluster.Request, requested int) error) error {
+func (s *rowSource) len() int { return len(s.tr.VMs) }
+
+func (s *rowSource) vmAt(i int, _ *trace.VM) *trace.VM { return &s.tr.VMs[i] }
+
+func (s *rowSource) each(fn func(i int, v *trace.VM, req *cluster.Request, requested int) error) error {
 	for i := range s.tr.VMs {
 		v := &s.tr.VMs[i]
-		if err := fn(v, &cluster.Request{}, s.waves[v.Deployment]); err != nil {
+		if err := fn(i, v, &cluster.Request{}, s.waves[v.Deployment]); err != nil {
 			return err
 		}
 	}
@@ -62,9 +73,9 @@ type colArrival struct {
 }
 
 // colSource feeds arrivals straight from columnar chunks. Boxes return
-// to the free list as the cluster finishes with them, so a run's
-// allocations are bounded by the peak number of in-flight VMs (at most
-// the cluster's capacity) rather than the trace length.
+// to the free list as the cluster finishes with them, so the boxes a run
+// allocates are bounded by the peak number of in-flight VMs (at most the
+// cluster's capacity) rather than the trace length.
 type colSource struct {
 	c     *trace.Columns
 	waves []int // initial-wave size by deployment string ID
@@ -78,13 +89,20 @@ func newColSource(c *trace.Columns, waves []int) *colSource {
 
 func (s *colSource) horizon() trace.Minutes { return s.c.Horizon }
 
-func (s *colSource) each(fn func(v *trace.VM, req *cluster.Request, requested int) error) error {
-	return s.c.ForEachChunk(func(_ int, ch *trace.Chunk) error {
+func (s *colSource) len() int { return s.c.Len() }
+
+func (s *colSource) vmAt(i int, scratch *trace.VM) *trace.VM {
+	s.c.VMAt(i, scratch)
+	return scratch
+}
+
+func (s *colSource) each(fn func(i int, v *trace.VM, req *cluster.Request, requested int) error) error {
+	return s.c.ForEachChunk(func(base int, ch *trace.Chunk) error {
 		n := ch.Len()
 		for j := 0; j < n; j++ {
 			a := s.acquire()
 			fillArrival(a, ch, j)
-			if err := fn(&a.vm, &a.req, s.waves[ch.Dep[j]]); err != nil {
+			if err := fn(base+j, &a.vm, &a.req, s.waves[ch.Dep[j]]); err != nil {
 				return err
 			}
 		}

@@ -36,7 +36,8 @@ type SweepResult struct {
 // RunLabel get "point<i>" so their metrics stay distinguishable after the
 // merge. Run errors don't abort the sweep; they are joined into the
 // returned error while the remaining points complete. The initial-wave
-// sizes are computed once and shared read-only across all points.
+// sizes and the contribution arena are built once, before any point
+// starts, and shared read-only across all points.
 func RunSweep(tr *trace.Trace, cfgs []Config, opt SweepOptions) (*SweepResult, error) {
 	if len(tr.VMs) == 0 {
 		return runSweepPoints(cfgs, opt, func(Config) (*Result, error) {
@@ -44,16 +45,17 @@ func RunSweep(tr *trace.Trace, cfgs []Config, opt SweepOptions) (*SweepResult, e
 		})
 	}
 	src := newRowSource(tr) // stateless per run; safe to share across points
+	ar := newArena(src, cfgs, opt.Workers)
 	return runSweepPoints(cfgs, opt, func(cfg Config) (*Result, error) {
-		return runSource(src, cfg)
+		return runSource(src, cfg, ar)
 	})
 }
 
 // RunSweepColumns is RunSweep over a columnar trace: every point runs
-// RunColumns against the shared chunks, with the wave sizes computed
-// once per sweep. Each point gets its own arrival pool (the pool is the
-// only per-run state), so points stay independent while the underlying
-// columns are shared read-only.
+// RunColumns against the shared chunks, with the wave sizes and the
+// contribution arena built once per sweep. Each point gets its own
+// arrival pool (the pool is the only per-run state), so points stay
+// independent while the underlying columns are shared read-only.
 func RunSweepColumns(c *trace.Columns, cfgs []Config, opt SweepOptions) (*SweepResult, error) {
 	if c.Len() == 0 {
 		return runSweepPoints(cfgs, opt, func(Config) (*Result, error) {
@@ -61,8 +63,9 @@ func RunSweepColumns(c *trace.Columns, cfgs []Config, opt SweepOptions) (*SweepR
 		})
 	}
 	waves := countInitialWavesColumns(c)
+	ar := newArena(newColSource(c, waves), cfgs, opt.Workers)
 	return runSweepPoints(cfgs, opt, func(cfg Config) (*Result, error) {
-		return runSource(newColSource(c, waves), cfg)
+		return runSource(newColSource(c, waves), cfg, ar)
 	})
 }
 
