@@ -512,11 +512,15 @@ func (c *Client) resolveFeatures(sub *featuredata.SubscriptionFeatures, subscrip
 }
 
 // execute featurizes one input into scratch and runs the model, recording
-// the execution metrics. scratch may be nil; batch paths pass the
-// returned buffer back in to reuse its capacity across the batch.
+// the execution metrics. scratch may be nil, in which case one buffer of
+// the model's feature width is allocated; batch paths pass the returned
+// buffer back in to reuse it across the batch.
 func (c *Client) execute(trained *model.Trained, modelName string, in *model.ClientInputs,
 	sub *featuredata.SubscriptionFeatures, scratch []float64) (int, float64, []float64, error) {
 	execStart := time.Now() //rcvet:allow(observational: feeds the per-model execution histogram only, never prediction results)
+	if w := trained.Spec.NumFeatures(); cap(scratch) < w {
+		scratch = make([]float64, 0, w)
+	}
 	x := trained.Spec.Featurize(in, sub, scratch[:0])
 	bucket, score, err := trained.Predict(x)
 	if err != nil {

@@ -527,3 +527,70 @@ func TestPredictSingleNilInputs(t *testing.T) {
 		t.Error("expected error for nil inputs")
 	}
 }
+
+// TestPredictMissAllocations pins the model-execution path's allocation
+// budget for every model: a result-cache miss allocates one featurize
+// buffer sized from the spec and one probability vector, and nothing
+// per tree.
+func TestPredictMissAllocations(t *testing.T) {
+	c := newPushClient(t, publishedStore(t))
+	in := *knownInputs(t)
+	for _, m := range metric.All {
+		allocs := testing.AllocsPerRun(200, func() {
+			in.RequestedVMs++ // a new cache key: every call executes the model
+			p, err := c.PredictSingle(m.String(), &in)
+			if err != nil || !p.OK || p.FromResultCache {
+				t.Fatalf("%s: %+v, %v", m, p, err)
+			}
+		})
+		if allocs > 3 {
+			t.Errorf("%s: a miss allocates %.0f times, want at most 3", m, allocs)
+		}
+	}
+}
+
+// TestCorruptModelKeepsPreviousServing republishes a model whose tree
+// indexes a feature past the input. Decode rejects it at load, so the
+// client keeps executing the model it had, with the same answers.
+func TestCorruptModelKeepsPreviousServing(t *testing.T) {
+	st := publishedStore(t)
+	c := newPushClient(t, st)
+	in := knownInputs(t)
+	before, err := c.PredictSingle("lifetime", in)
+	if err != nil || !before.OK {
+		t.Fatalf("%+v, %v", before, err)
+	}
+	blob, err := st.Get("model/lifetime")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := model.Decode(blob.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := bad.GBT.Trees[0][0].Nodes
+	for i := range nodes {
+		if nodes[i].Left >= 0 {
+			nodes[i].Feature = 999
+			break
+		}
+	}
+	data, err := bad.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Put("model/lifetime", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.loadModel("lifetime"); err == nil {
+		t.Fatal("loadModel installed a model that cannot be evaluated")
+	}
+	c.results.clear()
+	after, err := c.PredictSingle("lifetime", in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.OK || after.FromResultCache || after.Bucket != before.Bucket || after.Score != before.Score {
+		t.Errorf("after the rejected update: %+v, want %+v executed again", after, before)
+	}
+}

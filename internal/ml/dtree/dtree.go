@@ -5,7 +5,6 @@ package dtree
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -267,44 +266,6 @@ func probsFromCounts(counts []int) []float32 {
 		probs[i] = float32(c) / float32(total)
 	}
 	return probs
-}
-
-// PredictProba returns the class distribution for x.
-func (t *Tree) PredictProba(x []float64) ([]float64, error) {
-	if len(x) != t.NumFeatures {
-		return nil, fmt.Errorf("dtree: input has %d features, want %d", len(x), t.NumFeatures)
-	}
-	i := int32(0)
-	for {
-		n := &t.Nodes[i]
-		if n.Left < 0 {
-			out := make([]float64, len(n.Probs))
-			for c, p := range n.Probs {
-				out[c] = float64(p)
-			}
-			return out, nil
-		}
-		if x[n.Feature] <= n.Threshold {
-			i = n.Left
-		} else {
-			i = n.Right
-		}
-	}
-}
-
-// Predict returns the most likely class and its probability.
-func (t *Tree) Predict(x []float64) (int, float64, error) {
-	probs, err := t.PredictProba(x)
-	if err != nil {
-		return 0, 0, err
-	}
-	best := 0
-	for c, p := range probs {
-		if p > probs[best] {
-			best = c
-		}
-	}
-	return best, probs[best], nil
 }
 
 // Depth returns the maximum depth of the tree (root = 0).

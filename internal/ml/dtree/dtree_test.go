@@ -1,6 +1,7 @@
 package dtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -8,6 +9,46 @@ import (
 
 	"resourcecentral/internal/ml/feature"
 )
+
+// refProba walks the tree's stored nodes, following Left and Right, and
+// returns the leaf distribution: the reference these tests predict with
+// and check Flatten and Descend against.
+func (t *Tree) refProba(x []float64) ([]float64, error) {
+	if len(x) != t.NumFeatures {
+		return nil, fmt.Errorf("dtree: input has %d features, want %d", len(x), t.NumFeatures)
+	}
+	i := int32(0)
+	for {
+		n := &t.Nodes[i]
+		if n.Left < 0 {
+			out := make([]float64, len(n.Probs))
+			for c, p := range n.Probs {
+				out[c] = float64(p)
+			}
+			return out, nil
+		}
+		if x[n.Feature] <= n.Threshold {
+			i = n.Left
+		} else {
+			i = n.Right
+		}
+	}
+}
+
+// refPredict returns refProba's most likely class and its probability.
+func (t *Tree) refPredict(x []float64) (int, float64, error) {
+	probs, err := t.refProba(x)
+	if err != nil {
+		return 0, 0, err
+	}
+	best := 0
+	for c, p := range probs {
+		if p > probs[best] {
+			best = c
+		}
+	}
+	return best, probs[best], nil
+}
 
 // xorDataset is a classic non-linearly-separable problem a depth-2 tree
 // solves exactly.
@@ -30,7 +71,7 @@ func accuracy(t *testing.T, tree *Tree, ds *feature.Dataset) float64 {
 	t.Helper()
 	correct := 0
 	for i := range ds.X {
-		pred, _, err := tree.Predict(ds.X[i])
+		pred, _, err := tree.refPredict(ds.X[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +148,7 @@ func TestPureNodeBecomesLeaf(t *testing.T) {
 	if len(tree.Nodes) != 1 || tree.Nodes[0].Left != -1 {
 		t.Errorf("pure dataset should produce a single leaf, got %d nodes", len(tree.Nodes))
 	}
-	probs, err := tree.PredictProba([]float64{5})
+	probs, err := tree.refProba([]float64{5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +169,7 @@ func TestConstantFeaturesBecomeLeaf(t *testing.T) {
 	if len(tree.Nodes) != 1 {
 		t.Errorf("constant features should yield a leaf, got %d nodes", len(tree.Nodes))
 	}
-	probs, _ := tree.PredictProba([]float64{7})
+	probs, _ := tree.refProba([]float64{7})
 	if math.Abs(probs[0]-0.5) > 1e-9 {
 		t.Errorf("probs = %v, want [0.5 0.5]", probs)
 	}
@@ -139,10 +180,10 @@ func TestPredictDimensionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tree.PredictProba([]float64{1}); err == nil {
+	if _, err := tree.refProba([]float64{1}); err == nil {
 		t.Error("expected dimension error")
 	}
-	if _, _, err := tree.Predict([]float64{1, 2, 3}); err == nil {
+	if _, _, err := tree.refPredict([]float64{1, 2, 3}); err == nil {
 		t.Error("expected dimension error")
 	}
 }
@@ -194,7 +235,7 @@ func TestQuickProbsSumToOne(t *testing.T) {
 		if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {
 			return true
 		}
-		probs, err := tree.PredictProba([]float64{x, y})
+		probs, err := tree.refProba([]float64{x, y})
 		if err != nil {
 			return false
 		}
@@ -222,11 +263,11 @@ func TestQuickPredictIsArgmax(t *testing.T) {
 		if math.IsNaN(x) || math.IsNaN(y) {
 			return true
 		}
-		probs, err := tree.PredictProba([]float64{x, y})
+		probs, err := tree.refProba([]float64{x, y})
 		if err != nil {
 			return false
 		}
-		cls, score, err := tree.Predict([]float64{x, y})
+		cls, score, err := tree.refPredict([]float64{x, y})
 		if err != nil {
 			return false
 		}
@@ -234,5 +275,62 @@ func TestQuickPredictIsArgmax(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFlattenMatchesReferenceWalk flattens two trained trees into one
+// ensemble and checks that Descend from each root reaches the leaf whose
+// distribution refProba returns.
+func TestFlattenMatchesReferenceWalk(t *testing.T) {
+	var nodes []FlatNode
+	var leaves []float32
+	var trees []*Tree
+	var roots []int32
+	for seed := uint64(20); seed < 22; seed++ {
+		tree, err := Train(xorDataset(300, seed), Config{MaxDepth: 6, MaxFeatures: 1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots = append(roots, int32(len(nodes)))
+		if nodes, leaves, err = tree.Flatten(nodes, leaves, 2); err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, tree)
+	}
+	r := rand.New(rand.NewPCG(23, 1))
+	for i := 0; i < 500; i++ {
+		x := []float64{r.Float64(), r.Float64()}
+		for k, tree := range trees {
+			want, err := tree.refProba(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := Descend(nodes, roots[k], x).Right
+			for c := range want {
+				if got := float64(leaves[int(off)+c]); got != want[c] {
+					t.Fatalf("tree %d, x %v: class %d = %v, want %v", k, x, c, got, want[c])
+				}
+			}
+		}
+	}
+}
+
+func TestFlattenRejectsUnevaluableTrees(t *testing.T) {
+	leaf := Node{Left: -1, Right: -1, Probs: []float32{0.5, 0.5}}
+	cases := map[string]*Tree{
+		"no nodes":           {NumFeatures: 2},
+		"leaf class count":   {NumFeatures: 2, Nodes: []Node{{Left: -1, Probs: []float32{1}}}},
+		"feature past width": {NumFeatures: 2, Nodes: []Node{{Feature: 2, Left: 1, Right: 2}, leaf, leaf}},
+		"negative feature":   {NumFeatures: 2, Nodes: []Node{{Feature: -3, Left: 1, Right: 2}, leaf, leaf}},
+		"left not next":      {NumFeatures: 2, Nodes: []Node{{Left: 2, Right: 1}, leaf, leaf}},
+		"left self loop":     {NumFeatures: 2, Nodes: []Node{{Left: 0, Right: 1}, leaf}},
+		"right self loop":    {NumFeatures: 2, Nodes: []Node{{Left: 1, Right: 0}, leaf}},
+		"right past end":     {NumFeatures: 2, Nodes: []Node{{Left: 1, Right: 3}, leaf, leaf}},
+		"last node not leaf": {NumFeatures: 2, Nodes: []Node{{Left: 1, Right: 2}, leaf, {Left: 3, Right: 4}}},
+	}
+	for name, tree := range cases {
+		if _, _, err := tree.Flatten(nil, nil, 2); err == nil {
+			t.Errorf("%s: Flatten accepted the tree", name)
+		}
 	}
 }

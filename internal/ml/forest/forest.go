@@ -54,6 +54,22 @@ func (c Config) withDefaults(numFeatures int) Config {
 type Forest struct {
 	Trees      []*dtree.Tree
 	NumClasses int
+
+	// flat is the compiled evaluator Compile derives from Trees; gob
+	// skips it, so the serialized form is Trees and NumClasses alone.
+	flat *compiled
+}
+
+// compiled is every tree of a forest in one preorder node array, with
+// all leaf distributions in one flat slice.
+type compiled struct {
+	nodes []dtree.FlatNode
+	// leaves holds NumClasses probabilities per leaf; a leaf node's Right
+	// is its offset here.
+	leaves []float32
+	// roots[t] is the index of tree t's root in nodes.
+	roots       []int32
+	numFeatures int
 }
 
 // Train fits the ensemble. Trees are trained concurrently but the result
@@ -109,7 +125,42 @@ func Train(ds *feature.Dataset, cfg Config) (*Forest, error) {
 			return nil, fmt.Errorf("forest: tree training: %w", err)
 		}
 	}
+	if err := f.Compile(); err != nil {
+		return nil, err
+	}
 	return f, nil
+}
+
+// Compile builds the flat evaluator PredictProba runs from Trees. Train
+// calls it, and so must whoever assembles or decodes a Forest; it
+// rejects a forest that cannot be evaluated: no trees, trees that
+// disagree on the feature count, or a tree dtree.Tree.Flatten rejects.
+func (f *Forest) Compile() error {
+	if len(f.Trees) == 0 {
+		return errors.New("forest: no trees")
+	}
+	if f.NumClasses < 1 {
+		return fmt.Errorf("forest: %d classes", f.NumClasses)
+	}
+	c := &compiled{roots: make([]int32, len(f.Trees))}
+	for i, t := range f.Trees {
+		if t == nil {
+			return fmt.Errorf("forest: tree %d is nil", i)
+		}
+		if i == 0 {
+			c.numFeatures = t.NumFeatures
+		} else if t.NumFeatures != c.numFeatures {
+			return fmt.Errorf("forest: tree %d has %d features, tree 0 has %d", i, t.NumFeatures, c.numFeatures)
+		}
+		c.roots[i] = int32(len(c.nodes))
+		var err error
+		c.nodes, c.leaves, err = t.Flatten(c.nodes, c.leaves, f.NumClasses)
+		if err != nil {
+			return fmt.Errorf("forest: tree %d: %w", i, err)
+		}
+	}
+	f.flat = c
+	return nil
 }
 
 // bootstrap draws n samples with replacement (rows shared, not copied).
@@ -131,23 +182,35 @@ func bootstrap(ds *feature.Dataset, r *rand.Rand) *feature.Dataset {
 
 // PredictProba averages the trees' class distributions.
 func (f *Forest) PredictProba(x []float64) ([]float64, error) {
-	if len(f.Trees) == 0 {
-		return nil, errors.New("forest: no trees")
+	c := f.flat
+	if c == nil {
+		return nil, errors.New("forest: not compiled")
+	}
+	if len(x) != c.numFeatures {
+		return nil, fmt.Errorf("forest: input has %d features, want %d", len(x), c.numFeatures)
 	}
 	acc := make([]float64, f.NumClasses)
-	for _, t := range f.Trees {
-		p, err := t.PredictProba(x)
-		if err != nil {
-			return nil, err
-		}
-		for c, v := range p {
-			acc[c] += v
-		}
-	}
-	for c := range acc {
-		acc[c] /= float64(len(f.Trees))
+	c.accumulate(x, acc)
+	for k := range acc {
+		acc[k] /= float64(len(c.roots))
 	}
 	return acc, nil
+}
+
+// accumulate adds each tree's leaf distribution for x into acc, tree by
+// tree and class by class: the order of a node-by-node walk of Trees, so
+// the probabilities are bit-identical to that walk's (the reference in
+// internal/model's tests).
+//
+//rcvet:hotpath
+func (c *compiled) accumulate(x, acc []float64) {
+	k := int32(len(acc))
+	for _, root := range c.roots {
+		off := dtree.Descend(c.nodes, root, x).Right
+		for i, p := range c.leaves[off : off+k] {
+			acc[i] += float64(p)
+		}
+	}
 }
 
 // Predict returns the most likely class and its averaged probability,

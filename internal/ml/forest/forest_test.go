@@ -65,14 +65,12 @@ func TestForestBeatsSingleShallowTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	correct := 0
-	for i := range test.X {
-		pred, _, _ := single.Predict(test.X[i])
-		if pred == test.Y[i] {
-			correct++
-		}
+	// A one-tree forest predicts exactly that tree's distribution.
+	one := &Forest{Trees: []*dtree.Tree{single}, NumClasses: 3}
+	if err := one.Compile(); err != nil {
+		t.Fatal(err)
 	}
-	singleAcc := float64(correct) / float64(test.Len())
+	singleAcc := forestAccuracy(t, one, test)
 	if facc := forestAccuracy(t, f, test); facc <= singleAcc-0.02 {
 		t.Errorf("forest %.3f not better than shallow tree %.3f", facc, singleAcc)
 	}

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand/v2"
 
+	"resourcecentral/internal/ml/dtree"
 	"resourcecentral/internal/ml/feature"
 )
 
@@ -74,7 +75,8 @@ type RegTree struct {
 	Nodes []RegNode
 }
 
-// eval walks the tree for x.
+// eval walks the tree for x. Training uses it to update the scores after
+// each round; prediction runs the compiled form (see Model.Compile).
 func (t *RegTree) eval(x []float64) float64 {
 	i := int32(0)
 	for {
@@ -104,6 +106,21 @@ type Model struct {
 	// GainImportance accumulates each feature's total structure-score gain
 	// across all splits of all trees.
 	GainImportance []float64
+
+	// flat is the compiled evaluator Compile derives from Trees; gob
+	// skips it, so it never reaches the serialized form.
+	flat *compiled
+}
+
+// compiled is every tree of a model in one preorder node array, round by
+// round and class by class; a leaf's Threshold holds its value.
+type compiled struct {
+	nodes []dtree.FlatNode
+	// roots[r*NumClasses+c] is the index of Trees[r][c]'s root in nodes.
+	roots []int32
+	// lr is the shrinkage PredictProba applies (LearningRate, or its
+	// default when unset).
+	lr float64
 }
 
 // Train fits the boosted ensemble.
@@ -202,9 +219,60 @@ func Train(ds *feature.Dataset, cfg Config) (*Model, error) {
 		}
 		m.Trees = append(m.Trees, roundTrees)
 	}
+	if err := m.Compile(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
+// Compile builds the flat evaluator PredictProba runs from Trees. Train
+// calls it, and so must whoever assembles or decodes a Model; it rejects
+// a model that cannot be evaluated: a round without NumClasses trees, a
+// BasePrior without NumClasses entries, an empty tree, or a split that
+// dtree.CheckSplit rejects.
+func (m *Model) Compile() error {
+	k := m.NumClasses
+	if k < 1 {
+		return fmt.Errorf("gbt: %d classes", k)
+	}
+	if len(m.BasePrior) != k {
+		return fmt.Errorf("gbt: %d base priors for %d classes", len(m.BasePrior), k)
+	}
+	c := &compiled{roots: make([]int32, 0, len(m.Trees)*k), lr: m.LearningRate}
+	if c.lr <= 0 {
+		c.lr = 0.3
+	}
+	for r, round := range m.Trees {
+		if len(round) != k {
+			return fmt.Errorf("gbt: round %d has %d trees for %d classes", r, len(round), k)
+		}
+		for cls, t := range round {
+			if t == nil || len(t.Nodes) == 0 {
+				return fmt.Errorf("gbt: round %d class %d: empty tree", r, cls)
+			}
+			if err := dtree.CheckSize(len(c.nodes), len(t.Nodes)); err != nil {
+				return fmt.Errorf("gbt: %w", err)
+			}
+			base := int32(len(c.nodes))
+			c.roots = append(c.roots, base)
+			for i := range t.Nodes {
+				n := &t.Nodes[i]
+				if n.Left < 0 {
+					c.nodes = append(c.nodes, dtree.FlatNode{Threshold: n.Value, Feature: -1})
+					continue
+				}
+				if err := dtree.CheckSplit(i, len(t.Nodes), n.Feature, n.Left, n.Right, m.NumFeatures); err != nil {
+					return fmt.Errorf("gbt: round %d class %d: %w", r, cls, err)
+				}
+				c.nodes = append(c.nodes, dtree.FlatNode{Threshold: n.Threshold, Feature: n.Feature, Right: base + n.Right})
+			}
+		}
+	}
+	m.flat = c
+	return nil
+}
+
+// softmaxInto writes softmax(scores) to out, which may be scores itself.
 func softmaxInto(scores, out []float64) {
 	max := scores[0]
 	for _, s := range scores[1:] {
@@ -346,23 +414,33 @@ func (m *Model) Importance() []float64 {
 
 // PredictProba returns softmax class probabilities for x.
 func (m *Model) PredictProba(x []float64) ([]float64, error) {
+	c := m.flat
+	if c == nil {
+		return nil, errors.New("gbt: not compiled")
+	}
 	if len(x) != m.NumFeatures {
 		return nil, fmt.Errorf("gbt: input has %d features, want %d", len(x), m.NumFeatures)
 	}
 	scores := make([]float64, m.NumClasses)
 	copy(scores, m.BasePrior)
-	lr := m.LearningRate
-	if lr <= 0 {
-		lr = 0.3
-	}
-	for _, round := range m.Trees {
-		for c, tree := range round {
-			scores[c] += lr * tree.eval(x)
+	c.accumulate(x, scores)
+	softmaxInto(scores, scores)
+	return scores, nil
+}
+
+// accumulate adds each tree's shrunken leaf value for x into its class's
+// score, round by round and class by class: the order and arithmetic of a
+// node-by-node walk of Trees, so the scores are bit-identical to that
+// walk's (the reference in internal/model's tests).
+//
+//rcvet:hotpath
+func (c *compiled) accumulate(x, scores []float64) {
+	k := len(scores)
+	for r := 0; r+k <= len(c.roots); r += k {
+		for cls, root := range c.roots[r : r+k] {
+			scores[cls] += c.lr * dtree.Descend(c.nodes, root, x).Threshold
 		}
 	}
-	out := make([]float64, m.NumClasses)
-	softmaxInto(scores, out)
-	return out, nil
 }
 
 // Predict returns the most likely class and its probability.

@@ -150,8 +150,43 @@ func (s *Spec) FeatureNames() []string {
 	return names
 }
 
-// NumFeatures returns the feature dimensionality.
-func (s *Spec) NumFeatures() int { return len(s.FeatureNames()) }
+// NumFeatures returns the feature dimensionality, len(FeatureNames()),
+// counted without building the names so the prediction path can size its
+// featurize buffer once: 10 client-input features, the two one-hot
+// groups, 10 subscription aggregates, and one bucket share per bucket of
+// every metric.
+func (s *Spec) NumFeatures() int {
+	n := 10 + s.RoleEnc.Width + s.OSEnc.Width + 10
+	for _, m := range metric.All {
+		n += m.Buckets()
+	}
+	return n
+}
+
+// validate rejects a decoded spec that Featurize or FeatureNames could
+// not run on: an unknown metric, a missing encoder, or one that is not
+// shaped as feature.FitOneHot builds it (one slot per vocabulary entry
+// plus "other"), which would index outside its width or size the
+// feature vector from a number instead of from decoded data.
+func (s *Spec) validate() error {
+	if s.Metric < metric.AvgCPU || s.Metric > metric.WorkloadClass {
+		return fmt.Errorf("unknown metric %d", int(s.Metric))
+	}
+	for _, enc := range []*feature.OneHot{s.RoleEnc, s.OSEnc} {
+		if enc == nil {
+			return errors.New("missing one-hot encoder")
+		}
+		if enc.Width != len(enc.Index)+1 {
+			return fmt.Errorf("one-hot %q has width %d for %d values", enc.Name, enc.Width, len(enc.Index))
+		}
+		for v, i := range enc.Index {
+			if i < 0 || i >= enc.Width-1 {
+				return fmt.Errorf("one-hot %q maps %q to slot %d of %d", enc.Name, v, i, enc.Width)
+			}
+		}
+	}
+	return nil
+}
 
 // Featurize builds the model input vector from client inputs and the
 // subscription's feature data (sub may be nil for an unknown
@@ -339,14 +374,51 @@ func (t *Trained) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode parses a model published by Encode.
+// Decode parses a model published by Encode and compiles its learner. It
+// rejects a model that cannot be evaluated on its spec's feature vectors
+// (see compile), so a corrupt publication fails here, where the client
+// keeps serving the previous model, instead of panicking or looping on
+// the prediction path.
 func Decode(data []byte) (*Trained, error) {
 	var t Trained
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&t); err != nil {
 		return nil, fmt.Errorf("model: decode: %w", err)
 	}
-	if _, err := t.Classifier(); err != nil {
-		return nil, err
+	if err := t.compile(); err != nil {
+		return nil, fmt.Errorf("model: decode: %w", err)
 	}
 	return &t, nil
+}
+
+// compile validates the spec and compiles the learner (forest.Compile,
+// gbt.Compile), then checks that the learner takes the spec's feature
+// vector and answers with one probability per bucket of its metric.
+func (t *Trained) compile() error {
+	if err := t.Spec.validate(); err != nil {
+		return err
+	}
+	var width, classes int
+	switch {
+	case t.Forest != nil && t.GBT != nil:
+		return errors.New("both learners set")
+	case t.Forest != nil:
+		if err := t.Forest.Compile(); err != nil {
+			return err
+		}
+		width, classes = t.Forest.Trees[0].NumFeatures, t.Forest.NumClasses
+	case t.GBT != nil:
+		if err := t.GBT.Compile(); err != nil {
+			return err
+		}
+		width, classes = t.GBT.NumFeatures, t.GBT.NumClasses
+	default:
+		return errors.New("no learner set")
+	}
+	if want := t.Spec.NumFeatures(); width != want {
+		return fmt.Errorf("%s learner takes %d features, spec builds %d", t.Name(), width, want)
+	}
+	if want := t.Spec.Metric.Buckets(); classes != want {
+		return fmt.Errorf("%s learner has %d classes for %d buckets", t.Name(), classes, want)
+	}
+	return nil
 }

@@ -11,7 +11,7 @@ import (
 	"resourcecentral/internal/ml/gbt"
 )
 
-func testSpec(t *testing.T, m metric.Metric) *Spec {
+func testSpec(t testing.TB, m metric.Metric) *Spec {
 	t.Helper()
 	s, err := NewSpec(m, []string{"IaaS", "WebRole", "WorkerRole"}, []string{"linux", "windows"})
 	if err != nil {
@@ -38,8 +38,9 @@ func sampleInputs() *ClientInputs {
 func TestFeaturizeLayoutMatchesNames(t *testing.T) {
 	s := testSpec(t, metric.AvgCPU)
 	x := s.Featurize(sampleInputs(), nil, nil)
-	if len(x) != s.NumFeatures() {
-		t.Errorf("featurize produced %d values for %d names", len(x), s.NumFeatures())
+	if len(x) != s.NumFeatures() || len(s.FeatureNames()) != s.NumFeatures() {
+		t.Errorf("featurize produced %d values and %d names for NumFeatures %d",
+			len(x), len(s.FeatureNames()), s.NumFeatures())
 	}
 	// The feature count should be substantial (the paper's util models use
 	// 127 features derived from a smaller number of attributes).
@@ -113,7 +114,7 @@ func TestCacheKeyStableAndSensitive(t *testing.T) {
 
 // trainTinyModel fits a trivially learnable dataset through the spec
 // featurizer so the whole model path is exercised.
-func trainTinyModel(t *testing.T, useForest bool) *Trained {
+func trainTinyModel(t testing.TB, useForest bool) *Trained {
 	t.Helper()
 	s := testSpec(t, metric.AvgCPU)
 	ds := &feature.Dataset{NumClasses: 4, Names: s.FeatureNames()}
@@ -241,4 +242,107 @@ func TestSizeBytes(t *testing.T) {
 	if empty.SizeBytes() != 0 {
 		t.Error("empty model size should be 0")
 	}
+}
+
+// TestDecodeRejectsUnevaluableTrees damages the root split of the first
+// tree of a trained model. Each damage reached the prediction path before
+// Decode compiled models: a feature index past the input panicked with
+// index out of range, and a node that is its own child looped forever.
+func TestDecodeRejectsUnevaluableTrees(t *testing.T) {
+	corruptions := []struct {
+		name  string
+		apply func(feature, left, right *int32)
+	}{
+		{"feature-out-of-range", func(feature, _, _ *int32) { *feature = 999 }},
+		{"negative-feature", func(feature, _, _ *int32) { *feature = -2 }},
+		{"left-self-loop", func(_, left, _ *int32) { *left = 0 }},
+		{"right-self-loop", func(_, _, right *int32) { *right = 0 }},
+		{"right-past-end", func(_, _, right *int32) { *right = 1 << 20 }},
+	}
+	for _, useForest := range []bool{true, false} {
+		for _, c := range corruptions {
+			tr := trainTinyModel(t, useForest)
+			if useForest {
+				root := &tr.Forest.Trees[0].Nodes[0]
+				if root.Left < 0 {
+					t.Fatal("forest tree 0 is a single leaf")
+				}
+				c.apply(&root.Feature, &root.Left, &root.Right)
+			} else {
+				root := &tr.GBT.Trees[0][0].Nodes[0]
+				if root.Left < 0 {
+					t.Fatal("boosted tree 0 is a single leaf")
+				}
+				c.apply(&root.Feature, &root.Left, &root.Right)
+			}
+			data, err := tr.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Decode(data); err == nil {
+				t.Errorf("forest=%v %s: Decode accepted the model", useForest, c.name)
+			}
+		}
+	}
+}
+
+func TestDecodeRejectsMisshapenEnsembles(t *testing.T) {
+	cases := []struct {
+		name      string
+		useForest bool
+		damage    func(*Trained)
+	}{
+		{"forest leaf class count", true, func(tr *Trained) {
+			for i := range tr.Forest.Trees[0].Nodes {
+				if n := &tr.Forest.Trees[0].Nodes[i]; n.Left < 0 {
+					n.Probs = n.Probs[:1]
+					return
+				}
+			}
+		}},
+		{"forest tree width", true, func(tr *Trained) { tr.Forest.Trees[1].NumFeatures++ }},
+		{"forest no trees", true, func(tr *Trained) { tr.Forest.Trees = nil }},
+		{"gbt round tree count", false, func(tr *Trained) { tr.GBT.Trees[0] = tr.GBT.Trees[0][:2] }},
+		{"gbt empty tree", false, func(tr *Trained) { tr.GBT.Trees[0][1].Nodes = nil }},
+		{"gbt base prior", false, func(tr *Trained) { tr.GBT.BasePrior = tr.GBT.BasePrior[:1] }},
+		{"gbt width vs spec", false, func(tr *Trained) { tr.GBT.NumFeatures++ }},
+		{"class count vs metric", false, func(tr *Trained) { tr.Spec.Metric = metric.WorkloadClass }},
+		{"one-hot slot past width", true, func(tr *Trained) { tr.Spec.OSEnc.Index["linux"] = 40 }},
+		{"one-hot width past vocabulary", true, func(tr *Trained) { tr.Spec.RoleEnc.Width = 1 << 40 }},
+		{"missing encoder", false, func(tr *Trained) { tr.Spec.OSEnc = nil }},
+		{"unknown metric", true, func(tr *Trained) { tr.Spec.Metric = 17 }},
+	}
+	for _, c := range cases {
+		tr := trainTinyModel(t, c.useForest)
+		c.damage(tr)
+		data, err := tr.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(data); err == nil {
+			t.Errorf("%s: Decode accepted the model", c.name)
+		}
+	}
+}
+
+// FuzzModelDecode feeds Decode mutations of real encoded models: it must
+// either reject the bytes or return a model whose prediction returns.
+func FuzzModelDecode(f *testing.F) {
+	for _, useForest := range []bool{true, false} {
+		data, err := trainTinyModel(f, useForest).Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Decode(data)
+		if err != nil {
+			return
+		}
+		x := tr.Spec.Featurize(sampleInputs(), nil, nil)
+		if _, _, err := tr.Predict(x); err != nil {
+			t.Errorf("decoded model failed to predict: %v", err)
+		}
+	})
 }
