@@ -1,8 +1,9 @@
 GO ?= go
 
-.PHONY: check build test vet lint lint-fast bench-lint race bench bench-sim bench-serve bench-trace bench-paper fmt
+.PHONY: check build test vet lint lint-fast bench-lint race smoke bench-paper fmt
 
-# Tier-1 gate: everything CI (and reviewers) must see green.
+# Tier-1 gate: vet, rcvet, build, tests and the race sweep. CI runs
+# these plus bench-lint, rcvet as a vettool, gofmt and `make smoke`.
 check: vet lint build test race
 
 build:
@@ -57,52 +58,18 @@ bench-lint:
 race:
 	$(GO) test -race ./...
 
-# Performance benchmarks for the hot paths (README "Performance").
-# Output is test2json (one JSON event per line) so future PRs can track
-# the trajectory mechanically.
-bench: bench-sim
-	$(GO) test -run '^$$' -bench 'BenchmarkPredict' -benchmem -json ./internal/core > BENCH_predict.json
-	$(GO) test -run '^$$' -bench 'BenchmarkFeatureDataBuild|BenchmarkFFTDetector|BenchmarkFFT1024' -benchmem -json \
-		./internal/featuredata ./internal/fftperiod > BENCH_pipeline.json
-
-# Simulator benchmarks: trace replay at growing cluster sizes (row and
-# chunk-fed), the parallel sweep grid over both representations, and
-# linear-vs-indexed candidate selection. Sweep points with more workers
-# than GOMAXPROCS are skipped — they would just remeasure the serial
-# work under timesharing.
-bench-sim:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimRun|BenchmarkSimRunColumns|BenchmarkSimSweep|BenchmarkSimSweepColumns|BenchmarkSchedule' -benchmem -json \
-		./internal/sim ./internal/cluster > BENCH_sim.json
-
-# Serving-tier load story: the coalescing micro-benchmark (upstream
-# predictions per 64 concurrent identical lookups), then a live
-# rcserve + rcload open-loop run writing BENCH_serve.json (latency
-# quantiles, achieved QPS, shed rate, coalesce hit rate, SSE fan-out).
-# Scale with e.g. `make bench-serve LOAD_RATE=5000 LOAD_DURATION=30s`.
-SERVE_DAYS ?= 10
-SERVE_VMS ?= 4000
-LOAD_RATE ?= 2000
-LOAD_DURATION ?= 10s
-LOAD_WORKERS ?= 64
-LOAD_SUBSCRIBERS ?= 8
-bench-serve:
-	$(GO) test -run '^$$' -bench BenchmarkServeCoalesce -benchmem ./internal/serve
-	SERVE_DAYS="$(SERVE_DAYS)" SERVE_VMS="$(SERVE_VMS)" \
-	LOAD_RATE="$(LOAD_RATE)" LOAD_DURATION="$(LOAD_DURATION)" \
-	LOAD_WORKERS="$(LOAD_WORKERS)" LOAD_SUBSCRIBERS="$(LOAD_SUBSCRIBERS)" \
-		./scripts/bench_serve.sh
-
-# Columnar trace substrate: CSV read/write baselines vs the binary
-# codec (build/encode/decode, serial and parallel), the streaming
-# Azure-vmtable transcode, and the row-vs-columnar characterization
-# pass. Sizes default to 100k and 500k VMs; override with e.g.
-# `make bench-trace TRACE_SIZES=100000`. Parallel-codec speedup is
-# bounded by GOMAXPROCS — on a single-core host the worker axis is flat.
-TRACE_SIZES ?= 100000,500000
-bench-trace:
-	RC_TRACE_BENCH_SIZES="$(TRACE_SIZES)" $(GO) test -run '^$$' \
-		-bench 'BenchmarkReadCSV|BenchmarkWriteCSV|BenchmarkColumnsBuild|BenchmarkColumnsEncode|BenchmarkColumnsDecode|BenchmarkColumnsDecodeParallel|BenchmarkColumnsEncodeParallel|BenchmarkAzureTranscode|BenchmarkCharz' \
-		-benchmem -json ./internal/trace ./internal/charz > BENCH_trace.json
+# Short seed-1 runs of four bench workloads. Each fails on a wrong
+# answer, a bench/golden.json mismatch or any failed operation:
+# sched.sweep drives the chunk-fed simulator, client.miss model
+# execution, http.mixed the built rcserve binary over loopback, and
+# offline.ingest the Azure transcode and the parallel columnar decode.
+smoke:
+	@for w in sched.sweep client.miss http.mixed offline.ingest; do \
+		echo "== $$w"; \
+		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0) || { echo "$$out"; exit 1; }; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 | grep -q '"failed":0,' || { echo "smoke: $$w reported failed operations"; exit 1; }; \
+	done
 
 # Regenerate the paper's evaluation numbers (Tables 4-6, Figs 9-11).
 bench-paper:

@@ -11,11 +11,10 @@ import (
 var (
 	benchOnce  sync.Once
 	benchTr    *trace.Trace
-	benchCols  *trace.Columns
 	benchGenEr error
 )
 
-func benchFixture(b *testing.B) (*trace.Trace, *trace.Columns) {
+func benchFixture(b *testing.B) *trace.Trace {
 	benchOnce.Do(func() {
 		cfg := synth.DefaultConfig()
 		cfg.Days = 33
@@ -28,35 +27,21 @@ func benchFixture(b *testing.B) (*trace.Trace, *trace.Columns) {
 			return
 		}
 		benchTr = res.Trace
-		benchCols = trace.FromTrace(benchTr)
 	})
 	if benchGenEr != nil {
 		b.Fatal(benchGenEr)
 	}
-	return benchTr, benchCols
+	return benchTr
 }
 
-// BenchmarkCharzRows is the row-path characterization baseline
-// BenchmarkCharzColumnar is measured against.
+// BenchmarkCharzRows measures the row-path characterization pass; the
+// columnar pass is timed by bench's charz.vmstats_s.
 func BenchmarkCharzRows(b *testing.B) {
-	tr, _ := benchFixture(b)
+	tr := benchFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ComputeVMStats(tr, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCharzColumnar measures the chunk-iterating statistics pass
-// over the columnar trace.
-func BenchmarkCharzColumnar(b *testing.B) {
-	_, cols := benchFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ComputeVMStatsColumns(cols, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

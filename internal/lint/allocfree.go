@@ -14,10 +14,9 @@ import (
 // must be *transitively* allocation-free: no allocation site in its own
 // body (see forEachAllocSite for the exact model), and no call —
 // however deep, across package boundaries — into a function whose
-// summary says it may allocate. The benchmark gate
-// (BenchmarkPredictSingleParallel's 0 allocs/op) catches regressions
-// after the fact on one measured input; this analyzer rejects them at
-// lint time on every path.
+// summary says it may allocate. A benchmark (BenchmarkResultCacheHit
+// under -benchmem) catches regressions after the fact on one measured
+// input; this analyzer rejects them at lint time on every path.
 //
 // The annotation is a contract, not a hint: annotate only functions
 // that must stay on the sub-microsecond path (CacheKey and its FNV

@@ -14,7 +14,7 @@ import (
 // select case, or a close-terminated receive (Cancel fact). Without
 // one, the goroutine is unkillable: shutdown leaks it, tests hang on
 // it, and the serving tier's drain path waits forever. This guards
-// internal/serve's hub and batcher loops and cmd/rcload's workers.
+// internal/serve's hub and batcher loops and cmd/rcserve's handlers.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "report goroutines and HTTP handlers whose call chains block " +

@@ -40,7 +40,6 @@ var ErrFlowPackagePatterns = []string{
 	"internal/store",
 	"internal/trace",
 	"cmd/rcserve",
-	"cmd/rcload",
 }
 
 // IsErrFlowPackage reports whether errflow applies to an import path.

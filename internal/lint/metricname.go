@@ -12,8 +12,8 @@ import (
 //
 // Metric identity is the merge key everywhere downstream: sweep workers
 // gather per-run registries and obs.MergeFamilies folds them by family
-// name, dashboards and BENCH_*.json trackers key on the exposition
-// name, and the registry panics at runtime on a family re-registered
+// name, dashboards and the bench harness key on the exposition name,
+// and the registry panics at runtime on a family re-registered
 // with a different kind. A name built at call time (fmt.Sprintf, a
 // variable) can silently mint a new family per call site or per run,
 // which merges with nothing and explodes cardinality. Dynamic label

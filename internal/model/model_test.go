@@ -327,6 +327,11 @@ func TestDecodeRejectsMisshapenEnsembles(t *testing.T) {
 
 // FuzzModelDecode feeds Decode mutations of real encoded models: it must
 // either reject the bytes or return a model whose prediction returns.
+// Fuzz it under a memory limit (e.g. `ulimit -v 4000000`): encoding/gob
+// preallocates a map of whatever length the stream declares, so a
+// mutated model declaring billions of entries (one declared about 19
+// billion) makes the runtime die with a fatal out-of-memory error that
+// no Decode check can catch.
 func FuzzModelDecode(f *testing.F) {
 	for _, useForest := range []bool{true, false} {
 		data, err := trainTinyModel(f, useForest).Encode()

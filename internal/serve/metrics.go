@@ -9,8 +9,8 @@ import (
 // tierMetrics holds the serving tier's obs instruments. Counter names
 // follow the repo's rc_ convention; the coalesce pair makes the
 // coalescing story auditable live (hit rate = followers / (leaders +
-// followers)), and the shed counters are the overload signal rcload
-// measures.
+// followers)), and the shed counters are the overload signal a load
+// generator measures.
 type tierMetrics struct {
 	reg *obs.Registry
 

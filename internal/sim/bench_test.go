@@ -67,8 +67,7 @@ func benchClusterConfig(policy cluster.Policy, servers int) cluster.Config {
 // (the Section 6.2 Fig. 11 run). The servers subbenchmarks are the
 // scaling curve: before the indexed scheduler and streaming aggregation,
 // both time and allocations grew with servers × intervals. The vms axis
-// (fixed 500-server cluster) is the row-path allocation baseline the
-// chunk-fed BenchmarkSimRunColumns/vms=... is compared against: one
+// (fixed 500-server cluster) is the row-path allocation curve: one
 // fresh request per VM, so allocs/op grows linearly with trace length.
 func BenchmarkSimRun(b *testing.B) {
 	for _, servers := range []int{250, 500, 1000, 2000} {
@@ -137,75 +136,6 @@ func BenchmarkSimSweep(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := RunSweep(tr, benchSweepGrid(), SweepOptions{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSimRunColumns is BenchmarkSimRun fed straight from columnar
-// chunks, on two axes. The servers axis mirrors BenchmarkSimRun for a
-// direct row-vs-chunk comparison at each cluster size. The vms axis
-// (fixed 500-server cluster) is the allocation story: the row path
-// allocates one fresh request per VM, so its allocs/op is linear in
-// trace length (~1/VM, see BenchmarkSimRun/vms=...); the chunk-fed
-// path's allocation count is bounded by concurrency — the arrival pool
-// sized by peak in-flight VMs, per-server active-slice growth, the
-// completion heap — not by trace length, so doubling the trace adds
-// only the pool growth that the higher arrival rate itself causes
-// (~0.1 allocs/VM marginal here, flat once the cluster saturates).
-// Its bytes do grow with the trace: the contribution arena holds 4 B
-// per VM-interval in a handful of slices.
-func BenchmarkSimRunColumns(b *testing.B) {
-	cfgFor := func(servers int) Config {
-		return Config{
-			Cluster:   benchClusterConfig(cluster.RCSoft, servers),
-			Predictor: fixedPredictor{bucket: 2},
-		}
-	}
-	for _, servers := range []int{250, 500, 1000, 2000} {
-		b.Run(fmt.Sprintf("servers=%d", servers), func(b *testing.B) {
-			cols := trace.FromTrace(benchTrace(b))
-			cfg := cfgFor(servers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := RunColumns(cols, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, vms := range []int{6000, 12000, 24000} {
-		b.Run(fmt.Sprintf("vms=%d", vms), func(b *testing.B) {
-			cols := trace.FromTrace(benchTraceN(b, vms))
-			cfg := cfgFor(500)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := RunColumns(cols, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSimSweepColumns drives the policy grid from shared chunks:
-// one wave-size pass per sweep, one arrival pool per point, zero row
-// materialization. Worker counts past GOMAXPROCS are skipped for the
-// same reason as BenchmarkSimSweep.
-func BenchmarkSimSweepColumns(b *testing.B) {
-	cols := trace.FromTrace(benchTrace(b))
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			if max := runtime.GOMAXPROCS(0); workers > max {
-				b.Skipf("workers=%d exceeds GOMAXPROCS=%d; timesharing would repeat the serial measurement", workers, max)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := RunSweepColumns(cols, benchSweepGrid(), SweepOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

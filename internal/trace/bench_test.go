@@ -20,8 +20,8 @@ func BenchmarkUtilModelAt(b *testing.B) {
 }
 
 // benchSizes returns the fleet sizes the persistence benchmarks run at.
-// RC_TRACE_BENCH_SIZES overrides them (comma-separated), so CI can run a
-// quick smoke while `make bench-trace` measures the full 100k/500k pair.
+// The default is the 100k/500k pair; RC_TRACE_BENCH_SIZES overrides it
+// (comma-separated), e.g. RC_TRACE_BENCH_SIZES=8000 for a quick pass.
 func benchSizes(b *testing.B) []int {
 	spec := os.Getenv("RC_TRACE_BENCH_SIZES")
 	if spec == "" {
@@ -156,36 +156,11 @@ func BenchmarkColumnsDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkColumnsDecodeParallel measures DecodeColumnsParallel at
-// growing worker counts. The column pass is embarrassingly parallel
-// across frames; observed speedup is bounded by GOMAXPROCS — on a
-// single-core host every worker count serializes onto one core and
-// ns/op stays flat, so read these numbers against the host's core
-// count, not the worker axis alone.
-func BenchmarkColumnsDecodeParallel(b *testing.B) {
-	for _, n := range benchSizes(b) {
-		data, err := EncodeColumns(FromTrace(benchTrace(n)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("vms=%d/workers=%d", n, workers), func(b *testing.B) {
-				b.SetBytes(int64(len(data)))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := DecodeColumnsParallel(data, workers); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkColumnsEncodeParallel measures the worker-pipelined frame
 // encoder; output bytes are identical to WriteColumns at any worker
-// count. The same GOMAXPROCS bound as the decode benchmark applies.
+// count. Observed speedup is bounded by GOMAXPROCS: on a single-core
+// host every worker count serializes onto one core and ns/op stays
+// flat.
 func BenchmarkColumnsEncodeParallel(b *testing.B) {
 	for _, n := range benchSizes(b) {
 		c := FromTrace(benchTrace(n))
@@ -205,25 +180,6 @@ func BenchmarkColumnsEncodeParallel(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkAzureTranscode measures the streaming vmtable → RCTB path:
-// one CSV pass, chunked encode, no row slice.
-func BenchmarkAzureTranscode(b *testing.B) {
-	for _, n := range benchSizes(b) {
-		b.Run(fmt.Sprintf("vms=%d", n), func(b *testing.B) {
-			raw := genAzureCSV(n)
-			const horizon = 30 * 24 * 3600
-			b.SetBytes(int64(len(raw)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := TranscodeAzureVMTable(io.Discard, strings.NewReader(raw), horizon); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
